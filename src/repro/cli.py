@@ -124,15 +124,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "requests")
     serve.add_argument("--stream", action="store_true",
                        help="stream report pages off the live SQL "
-                            "cursor (close-delimited on HTTP/1.0; the "
-                            "async edge sends chunked to HTTP/1.1 "
-                            "clients; --gateway inprocess only)")
+                            "cursor (chunked to HTTP/1.1 clients, "
+                            "close-delimited to HTTP/1.0 ones; "
+                            "--gateway inprocess only)")
     serve.add_argument("--edge", default="threaded",
                        choices=["threaded", "async"],
                        help="HTTP front end: thread-per-connection or "
-                            "the asyncio event-loop edge (keep-alive "
-                            "pipelining, chunked streaming, bounded "
-                            "connection budget)")
+                            "one asyncio event loop for every connection; "
+                            "both speak the same HTTP/1.1 framing and "
+                            "keep-alive policy")
     serve.add_argument("--acceptors", type=int, default=1, metavar="N",
                        help="async-edge acceptor processes sharing the "
                             "port via SO_REUSEPORT (N>1 spawns N serve "
@@ -969,8 +969,7 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
             reuse_port=args.reuse_port,
             max_connections=args.max_connections
             if args.max_connections is not None else 1024,
-            request_deadline=args.request_deadline,
-            metrics=metrics).start()
+            request_deadline=args.request_deadline).start()
     else:
         server = HttpServer(router, host=args.host, port=args.port,
                             backlog=args.backlog,

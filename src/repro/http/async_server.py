@@ -10,11 +10,10 @@ coroutine instead of a thread:
   per-connection byte buffer; bytes beyond the current request (a
   pipelined client sends several at once) carry over to the next parse
   instead of being dropped, and responses go back in request order.
-* **Chunked streaming.**  Streamed reports no longer cost the
-  connection: an HTTP/1.1 client gets ``Transfer-Encoding: chunked``
-  (each engine chunk framed as it is produced) and the connection
-  survives for the next request.  HTTP/1.0 clients still get the
-  close-delimited stream the threaded edge sends.
+* **Streaming.**  Framing follows :mod:`repro.http.codec`, shared
+  with the threaded edge: an HTTP/1.1 client gets ``Transfer-Encoding:
+  chunked`` (each engine chunk framed as it is produced) and keeps the
+  connection; an HTTP/1.0 client gets a close-delimited stream.
 * **Write backpressure.**  Every write awaits ``drain()``; a slow
   reader suspends only its own coroutine, and the engine-side producer
   blocks on a bounded queue — a client that stops reading stops the
@@ -45,24 +44,19 @@ import functools
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.errors import BadRequestError
-from repro.http.headers import Headers
-from repro.http.message import (
-    HttpRequest,
-    HttpResponse,
-    content_length_of,
-    html_response,
-)
+from repro.http import codec
+from repro.http.codec import CLOSED, NEED_DATA
+from repro.http.message import HttpResponse
 from repro.http.router import CGI_PREFIX, Router
 from repro.obs.trace import new_trace_id
-from repro.overload.retryafter import retry_after_header
 from repro.resilience.deadline import Deadline
 
-_MAX_HEAD = 64 * 1024
-_MAX_BODY = 8 * 1024 * 1024
 _READ_CHUNK = 65536
+#: threads running ``/cgi-bin/`` requests and stream producers
+_EXECUTOR_THREADS = 8
 #: writes buffered beyond this before ``drain()`` count as backpressure
 _HIGH_WATER = 64 * 1024
 #: engine chunks in flight between producer thread and event loop
@@ -101,13 +95,7 @@ class AsyncHttpServer:
                  max_connections: int = 1024,
                  backlog: int = 512,
                  reuse_port: bool = False,
-                 offload: str = "auto",
-                 executor_threads: int = 8,
-                 request_deadline: float | None = None,
-                 metrics=None):
-        if offload not in ("auto", "always", "never"):
-            raise ValueError(f"offload must be auto/always/never, "
-                             f"not {offload!r}")
+                 request_deadline: float | None = None):
         self.router = router
         self.timeout = timeout
         #: per-request wall-clock budget (seconds), minted when the
@@ -121,12 +109,6 @@ class AsyncHttpServer:
         self.keep_alive_max = keep_alive_max
         self.max_connections = max_connections
         self.backlog = backlog
-        #: "auto" pushes ``/cgi-bin/`` requests (which block on the
-        #: worker pool) to the executor and serves static pages in-loop;
-        #: "always"/"never" force one side (benchmarks use both).
-        self.offload = offload
-        self.executor_threads = executor_threads
-        self.metrics = metrics
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         if reuse_port:
@@ -199,7 +181,7 @@ class AsyncHttpServer:
     async def _main(self) -> None:
         self._stop = asyncio.Event()
         self._executor = ThreadPoolExecutor(
-            max_workers=self.executor_threads,
+            max_workers=_EXECUTOR_THREADS,
             thread_name_prefix="repro-edge")
         server = await asyncio.start_server(self._serve_connection,
                                             sock=self._listener)
@@ -255,75 +237,51 @@ class AsyncHttpServer:
             # a fixed ~40 ms stall per burst.
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         loop = asyncio.get_running_loop()
-        buffer = b""
-        served = 0
-        while served < self.keep_alive_max:
+        connection = codec.ServerConnection(self.keep_alive_max)
+        while True:
             try:
-                raw, buffer = await self._read_request(reader, buffer)
+                request = connection.next_event()
             except BadRequestError as exc:
-                # Ambiguous framing poisons everything pipelined behind
+                # Unframeable input poisons everything pipelined behind
                 # it: answer 400 and drop the connection.
-                await self._write_response(
-                    writer, _bad_request(exc, self._mint_trace_id()),
-                    keep_alive=False)
+                await self._write(
+                    writer, codec.bad_request(exc, self.router.tracer))
                 return
-            if raw is None:
+            if request is NEED_DATA:
+                timeout = self.idle_timeout if connection.idle \
+                    else self.timeout
+                try:
+                    data = await asyncio.wait_for(
+                        reader.read(_READ_CHUNK), timeout)
+                except asyncio.TimeoutError:
+                    return
+                connection.receive(data)
+                continue
+            if request is CLOSED:
                 return
             self._m_requests.inc()
-            keep_alive = False
-            http11 = False
-            try:
-                request = HttpRequest.parse(raw)
-                http11 = request.version == "HTTP/1.1"
-                keep_alive = _keeps_alive(request, http11)
-                trace_id = new_trace_id() \
-                    if self.router.tracer.enabled else ""
-                deadline = Deadline.after(self.request_deadline) \
-                    if self.request_deadline else None
-                handle = functools.partial(self.router.handle, request,
-                                           remote_addr=remote_addr,
-                                           trace_id=trace_id,
-                                           deadline=deadline)
-                if self._offloads(request):
-                    response = await loop.run_in_executor(
-                        self._executor,
-                        self._guarded(handle, deadline))
-                else:
-                    response = handle()
-            except BadRequestError as exc:
-                response = _bad_request(exc, self._mint_trace_id())
-                keep_alive = False
-            served += 1
-            if served >= self.keep_alive_max:
-                keep_alive = False
-            if http11:
-                # Answer in the client's dialect: an HTTP/1.1 request
-                # gets an HTTP/1.1 status line (clients gate pipelining
-                # and default keep-alive on the response version).
-                response.version = "HTTP/1.1"
+            deadline = Deadline.after(self.request_deadline) \
+                if self.request_deadline else None
+            handle = functools.partial(
+                self.router.handle, request, remote_addr=remote_addr,
+                trace_id=new_trace_id()
+                if self.router.tracer.enabled else "",
+                deadline=deadline)
+            if request.path.startswith(CGI_PREFIX):
+                # Macro requests block on the worker pool; static pages
+                # are cheap enough to serve in-loop.
+                response = await loop.run_in_executor(
+                    self._executor, self._guarded(handle, deadline))
+            else:
+                response = handle()
+            await self._write(writer, connection.respond(request, response))
             if response.streaming:
-                if http11:
-                    # Chunked framing: the stream no longer costs the
-                    # connection (the threaded edge must close here).
+                if connection.chunked:
                     self._m_chunked.inc()
-                    ok = await self._send_chunked(writer, response,
-                                                  keep_alive)
-                    if not ok or not keep_alive:
-                        return
-                    continue
-                await self._send_close_delimited(writer, response)
+                if not await self._pump(writer, response, connection):
+                    return  # truncation is the only mid-body signal
+            if not connection.keep_alive:
                 return
-            await self._write_response(writer, response,
-                                       keep_alive=keep_alive)
-            if not keep_alive:
-                return
-
-    def _offloads(self, request: HttpRequest) -> bool:
-        if self.offload == "never":
-            return False
-        if self.offload == "always":
-            return True
-        return request.path.startswith(CGI_PREFIX)
 
     def _guarded(self, handle, deadline):
         """Wrap a router call with a deadline check run *in the
@@ -341,63 +299,10 @@ class AsyncHttpServer:
         def run() -> HttpResponse:
             if deadline.expired:
                 self._m_deadline_expired.inc()
-                return _gateway_timeout(self._mint_trace_id())
+                return codec.gateway_timeout(self.router.tracer)
             return handle()
 
         return run
-
-    # -- request reading ---------------------------------------------------
-
-    async def _read_request(self, reader: asyncio.StreamReader,
-                            buffer: bytes) -> tuple[bytes | None, bytes]:
-        """One full request off the connection, pipelining-aware.
-
-        ``buffer`` holds bytes already read past the previous request;
-        returns ``(request_bytes, remaining_buffer)`` with ``None`` on
-        clean EOF or timeout.  Framing violations (oversized head,
-        ambiguous Content-Length, oversized declared body) raise
-        :class:`BadRequestError` — unlike EOF there is a peer there to
-        tell.
-        """
-        data = buffer
-        separator = b"\r\n\r\n"
-        while separator not in data and b"\n\n" not in data:
-            if len(data) > _MAX_HEAD:
-                raise BadRequestError(
-                    f"request head exceeds {_MAX_HEAD} bytes")
-            timeout = self.idle_timeout if not data else self.timeout
-            try:
-                chunk = await asyncio.wait_for(reader.read(_READ_CHUNK),
-                                               timeout)
-            except asyncio.TimeoutError:
-                return None, b""
-            if not chunk:
-                return None, b""
-            data += chunk
-        if separator not in data:
-            separator = b"\n\n"
-        head, _, rest = data.partition(separator)
-        if len(head) > _MAX_HEAD:
-            # The terminator and the overflow can arrive in one read;
-            # the in-loop check alone would admit such a head.
-            raise BadRequestError(
-                f"request head exceeds {_MAX_HEAD} bytes")
-        content_length = content_length_of(head)
-        if content_length > _MAX_BODY:
-            raise BadRequestError(
-                f"declared body of {content_length} bytes exceeds the "
-                f"{_MAX_BODY}-byte limit")
-        while len(rest) < content_length:
-            try:
-                chunk = await asyncio.wait_for(reader.read(_READ_CHUNK),
-                                               self.timeout)
-            except asyncio.TimeoutError:
-                return None, b""
-            if not chunk:
-                break
-            rest += chunk
-        body, remaining = rest[:content_length], rest[content_length:]
-        return head + separator + body, remaining
 
     # -- response writing --------------------------------------------------
 
@@ -416,76 +321,21 @@ class AsyncHttpServer:
             self._m_backpressure.inc()
         await writer.drain()
 
-    async def _write_response(self, writer: asyncio.StreamWriter,
-                              response: HttpResponse, *,
-                              keep_alive: bool) -> None:
-        response.headers.set("Connection",
-                             "Keep-Alive" if keep_alive else "close")
-        await self._write(writer, response.serialize())
-
-    def _mint_trace_id(self) -> str:
-        """A correlation id for responses built before routing (the
-        400/503/504 paths open no span but still answer with an
-        ``X-Trace-Id`` the client can quote)."""
-        return new_trace_id() if self.router.tracer.enabled else ""
-
     async def _shed(self, writer: asyncio.StreamWriter) -> None:
-        response = html_response(
-            "<H1>503 Service Unavailable</H1>"
-            "<P>connection budget exhausted; retry shortly</P>",
-            status=503)
-        controller = getattr(self.router, "overload", None)
-        hint = controller.retry_after_hint() \
-            if controller is not None else None
-        response.headers.set("Retry-After", retry_after_header(hint))
-        trace_id = self._mint_trace_id()
-        if trace_id:
-            response.headers.set("X-Trace-Id", trace_id)
         try:
-            await self._write_response(writer, response, keep_alive=False)
+            await self._write(writer, codec.shed(self.router.tracer,
+                                                 self.router.overload))
         except (ConnectionError, OSError):
             pass
         finally:
             await _close_writer(writer)
 
-    async def _send_close_delimited(self, writer: asyncio.StreamWriter,
-                                    response: HttpResponse) -> None:
-        """HTTP/1.0 streaming: the close is the framing (threaded-edge
-        parity, byte for byte)."""
-        await self._write(writer, response.serialize_head())
-        if response.body:
-            await self._write(writer, response.body)
-        assert response.body_iter is not None
-        await self._pump(writer, response.body_iter, chunked=False)
-
-    async def _send_chunked(self, writer: asyncio.StreamWriter,
-                            response: HttpResponse,
-                            keep_alive: bool) -> bool:
-        """HTTP/1.1 chunked streaming; ``False`` means the stream died
-        mid-body and the connection must close (the truncation *is* the
-        error signal — chunked framing has no mid-stream status)."""
-        headers = Headers(response.headers.items())
-        headers.set("Transfer-Encoding", "chunked")
-        headers.setdefault("Content-Type", "text/html")
-        headers.set("Connection",
-                    "Keep-Alive" if keep_alive else "close")
-        head = (f"HTTP/1.1 {response.status} {response.reason}\r\n"
-                + headers.serialize() + "\r\n").encode("latin-1")
-        await self._write(writer, head)
-        if response.body:
-            # The buffered prefix (page header emitted before the first
-            # row) rides as the first chunk.
-            await self._write(writer, _chunk(response.body))
-        assert response.body_iter is not None
-        ok = await self._pump(writer, response.body_iter, chunked=True)
-        if ok:
-            await self._write(writer, b"0\r\n\r\n")
-        return ok
-
     async def _pump(self, writer: asyncio.StreamWriter,
-                    body_iter: Iterator[bytes], *,
-                    chunked: bool) -> bool:
-        """Drive a synchronous body generator from one executor thread.
+                    response: HttpResponse,
+                    connection: codec.ServerConnection) -> bool:
+        """Write a streamed body, driving its synchronous generator from
+        one executor thread; ``False`` means the stream died mid-body
+        and the connection must close.
 
         The generator touches sqlite cursors with thread affinity, so
         every ``__next__`` must run in the same thread: one producer
@@ -495,6 +345,11 @@ class AsyncHttpServer:
         matter what — streamed transactions settle their brackets even
         when the client vanishes mid-page.
         """
+        if response.body:
+            # The buffered prefix (page header emitted before the first
+            # row) goes first.
+            await self._write(writer, connection.encode(response.body))
+        body_iter = response.body_iter
         loop = asyncio.get_running_loop()
         handoff: "asyncio.Queue[object]" = asyncio.Queue(
             maxsize=_STREAM_BUFFER)
@@ -534,8 +389,7 @@ class AsyncHttpServer:
                     ok = False
                     break
                 try:
-                    await self._write(
-                        writer, _chunk(item) if chunked else item)
+                    await self._write(writer, connection.encode(item))
                 except (ConnectionError, OSError):
                     ok = False
                     abort.set()
@@ -552,13 +406,14 @@ class AsyncHttpServer:
                 raise
             except Exception:
                 ok = False
+        if ok and connection.end:
+            await self._write(writer, connection.end)
         return ok
 
     # -- metrics -----------------------------------------------------------
 
     def _bind_metrics(self) -> None:
-        registry = self.metrics if self.metrics is not None \
-            else getattr(self.router, "metrics", None)
+        registry = self.router.metrics
         if registry is None:
             self._m_conns_active = _NULL
             self._m_conns_total = _NULL
@@ -577,36 +432,6 @@ class AsyncHttpServer:
             "edge_backpressure_waits_total")
         self._m_deadline_expired = registry.counter(
             "edge_deadline_expired_total")
-
-
-def _keeps_alive(request: HttpRequest, http11: bool) -> bool:
-    tokens = request.headers.get("Connection", "").lower()
-    if http11:
-        return "close" not in tokens  # persistent unless asked not to
-    return "keep-alive" in tokens     # 1.0: opt-in, Netscape-style
-
-
-def _chunk(data: bytes) -> bytes:
-    return b"%x\r\n%s\r\n" % (len(data), data)
-
-
-def _bad_request(exc: BadRequestError,
-                 trace_id: str = "") -> HttpResponse:
-    response = html_response(f"<H1>400 Bad Request</H1><P>{exc}</P>",
-                             status=400)
-    if trace_id:
-        response.headers.set("X-Trace-Id", trace_id)
-    return response
-
-
-def _gateway_timeout(trace_id: str = "") -> HttpResponse:
-    response = html_response(
-        "<H1>504 Gateway Timeout</H1>"
-        "<P>request deadline expired before processing began</P>",
-        status=504)
-    if trace_id:
-        response.headers.set("X-Trace-Id", trace_id)
-    return response
 
 
 async def _close_writer(writer: asyncio.StreamWriter) -> None:

@@ -1,10 +1,11 @@
-"""HTTP/1.0 request and response messages, with wire codecs.
+"""HTTP request and response messages.
 
 The Web of the paper speaks "the ubiquitous HTTP communication protocol"
-(Section 1) in its 1.0 form: one request per connection, the connection
-close delimiting the response body.  The codecs here implement exactly
-that, shared by the socket server, the socket client, and — structurally —
-the in-process transport.
+(Section 1).  These are its messages and their text form: a start line,
+headers and a body.  How messages are cut out of a byte stream and
+framed on a connection is the business of :mod:`repro.http.codec`,
+shared by both edges, the socket clients and — structurally — the
+in-process transport.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.errors import BadRequestError
+from repro.http import codec
 from repro.http.headers import Headers
 from repro.http.status import reason_for
 
@@ -48,12 +50,10 @@ class HttpRequest:
 
     @classmethod
     def parse(cls, raw: bytes) -> "HttpRequest":
-        """Parse a full request message (head and body already read)."""
-        head, _, body = raw.partition(b"\r\n\r\n")
-        if not _:
-            head, _, body = raw.partition(b"\n\n")
-        lines = head.decode("latin-1", "replace").splitlines()
-        if not lines:
+        """Parse a request: a head, or a complete message."""
+        head, body = codec.split_message(raw)
+        lines = head.decode("latin-1", "replace").split("\n")
+        if not lines[0].strip():
             raise BadRequestError("empty request")
         parts = lines[0].split()
         if len(parts) == 2:  # HTTP/0.9 simple request
@@ -77,8 +77,7 @@ class HttpResponse:
     body: bytes = b""
     version: str = HTTP_VERSION
     #: Streaming body: when set, the body arrives as byte chunks and the
-    #: response is emitted HTTP/1.0 style — no ``Content-Length``, the
-    #: connection close delimiting the body (``Connection: close``).
+    #: response has no ``Content-Length``; the codec frames it.
     body_iter: Optional[Iterator[bytes]] = None
 
     @property
@@ -112,21 +111,15 @@ class HttpResponse:
         self.drain()
         headers = Headers(self.headers.items())
         headers.set("Content-Length", str(len(self.body)))
-        headers.setdefault("Content-Type", "text/html")
-        head = (f"{self.version} {self.status} {self.reason}\r\n"
-                + headers.serialize() + "\r\n")
-        return head.encode("latin-1") + self.body
+        return self._head(headers) + self.body
 
     def serialize_head(self) -> bytes:
-        """The status line and headers for close-delimited streaming.
+        """The status line and headers of a streamed response, without
+        a ``Content-Length`` (the length is unknown until the stream
+        ends)."""
+        return self._head(Headers(self.headers.items()))
 
-        No ``Content-Length`` — the body length is unknown until the
-        stream is exhausted — so ``Connection: close`` marks the close
-        of the connection as the end of the body (plain HTTP/1.0
-        framing, Section 1's "ubiquitous" protocol).
-        """
-        headers = Headers(self.headers.items())
-        headers.set("Connection", "close")
+    def _head(self, headers: Headers) -> bytes:
         headers.setdefault("Content-Type", "text/html")
         head = (f"{self.version} {self.status} {self.reason}\r\n"
                 + headers.serialize() + "\r\n")
@@ -134,11 +127,10 @@ class HttpResponse:
 
     @classmethod
     def parse(cls, raw: bytes) -> "HttpResponse":
-        head, sep, body = raw.partition(b"\r\n\r\n")
-        if not sep:
-            head, sep, body = raw.partition(b"\n\n")
-        lines = head.decode("latin-1", "replace").splitlines()
-        if not lines:
+        """Parse a response: a head, or a complete message."""
+        head, body = codec.split_message(raw)
+        lines = head.decode("latin-1", "replace").split("\n")
+        if not lines[0].strip():
             raise BadRequestError("empty response")
         parts = lines[0].split(None, 2)
         if len(parts) < 2 or not parts[0].startswith("HTTP/"):
@@ -150,37 +142,6 @@ class HttpResponse:
                 f"malformed status code: {parts[1]!r}") from exc
         return cls(status=status, headers=Headers.parse_lines(lines[1:]),
                    body=body, version=parts[0])
-
-
-def content_length_of(head: bytes) -> int:
-    """The body length a request head declares — parsed strictly.
-
-    Request smuggling lives in parser disagreement, so anything two
-    implementations could read differently is a hard
-    :class:`BadRequestError` (a 400 at the edge) instead of a silent
-    guess: a repeated ``Content-Length`` header, a comma-joined value
-    list (even when the copies agree), or a value that is not a plain
-    non-negative decimal integer.  Absent means ``0``.  Both the
-    threaded and the async edge call this, so they agree by
-    construction.
-    """
-    values = []
-    for line in head.split(b"\n")[1:]:  # [0] is the request line
-        name, sep, value = line.decode("latin-1", "replace").partition(":")
-        if sep and name.strip().lower() == "content-length":
-            values.append(value.strip())
-    if not values:
-        return 0
-    if len(values) > 1:
-        raise BadRequestError(
-            f"request carries {len(values)} Content-Length headers")
-    value = values[0]
-    if "," in value:
-        raise BadRequestError(
-            f"comma-joined Content-Length values: {value!r}")
-    if not (value.isascii() and value.isdigit()):
-        raise BadRequestError(f"malformed Content-Length: {value!r}")
-    return int(value)
 
 
 def html_response(html: str, *, status: int = 200,

@@ -1,14 +1,14 @@
-"""A threaded HTTP/1.0 socket server (the "Web server" of Figure 1).
+"""A threaded HTTP socket server (the "Web server" of Figure 1).
 
-One thread per connection, one request per connection, connection close
-delimits the response — the NCSA-httpd model of 1996.  ``Connection:
-Keep-Alive`` is honoured the way Netscape-era servers bolted it onto
-HTTP/1.0: when the client asks and the response carries a
-Content-Length (ours always do), the connection stays open for further
-requests, up to ``keep_alive_max`` per connection.  Routing is
-delegated to :class:`repro.http.router.Router`, so everything reachable
-in-process is also reachable over a real socket (the live-server example
-and the socket-transport integration tests rely on this).
+One thread per connection — the NCSA-httpd model of 1996.  Framing and
+keep-alive follow :mod:`repro.http.codec`, the policy the asyncio edge
+shares: an HTTP/1.0 client gets one request per connection unless it
+sends ``Connection: Keep-Alive``, an HTTP/1.1 client keeps the
+connection by default, up to ``keep_alive_max`` requests either way.
+Routing is delegated to :class:`repro.http.router.Router`, so everything
+reachable in-process is also reachable over a real socket (the
+live-server example and the socket-transport integration tests rely on
+this).
 """
 
 from __future__ import annotations
@@ -17,19 +17,13 @@ import socket
 import threading
 
 from repro.errors import BadRequestError
-from repro.http.message import (
-    HttpRequest,
-    HttpResponse,
-    content_length_of,
-    html_response,
-)
+from repro.http import codec
+from repro.http.codec import CLOSED, NEED_DATA
+from repro.http.message import HttpResponse
 from repro.http.router import Router
 from repro.obs.trace import new_trace_id
-from repro.overload.retryafter import retry_after_header
 from repro.resilience.deadline import Deadline
 
-_MAX_HEAD = 64 * 1024
-_MAX_BODY = 8 * 1024 * 1024
 _RECV_CHUNK = 8192
 
 
@@ -131,8 +125,7 @@ class HttpServer:
                 # A fresh socket's send buffer swallows the small 503
                 # without blocking, so shedding stays in the accept
                 # loop — no thread is spawned for an over-budget peer.
-                _shed_connection(conn, self._retry_hint(),
-                                 trace_id=self._mint_trace_id())
+                self._shed(conn)
                 continue
             thread = threading.Thread(
                 target=self._serve_connection, args=(conn, addr),
@@ -155,203 +148,89 @@ class HttpServer:
         with self._active_lock:
             self._active -= 1
 
-    def _mint_trace_id(self) -> str:
-        """A correlation id for responses built before routing.
-
-        Bad requests and shed connections never reach the router, so
-        no span is opened — but the 4xx/503 still carries an
-        ``X-Trace-Id`` the client can quote against the access log.
-        """
-        return new_trace_id() if self.router.tracer.enabled else ""
-
-    def _retry_hint(self) -> float | None:
-        """An honest Retry-After for shed connections.
-
-        When the router carries an overload controller its queue-depth /
-        service-rate estimate is the best signal available; otherwise
-        fall back to the historical flat ``1``.
-        """
-        controller = getattr(self.router, "overload", None)
-        if controller is not None:
-            return controller.retry_after_hint()
-        return None
+    def _shed(self, conn: socket.socket) -> None:
+        """Answer an over-budget connection with an immediate 503."""
+        try:
+            conn.settimeout(1.0)
+            conn.sendall(codec.shed(self.router.tracer,
+                                    self.router.overload))
+        except OSError:
+            pass
+        finally:
+            _close(conn)
 
     def _serve_connection(self, conn: socket.socket,
                           addr: tuple[str, int]) -> None:
-        conn.settimeout(self.timeout)
-        buffer = b""
-        served = 0
+        connection = codec.ServerConnection(self.keep_alive_max)
         try:
-            while served < self.keep_alive_max:
+            while True:
                 try:
-                    raw, buffer = self._read_request(conn, buffer)
+                    request = connection.next_event()
                 except BadRequestError as exc:
-                    # An ambiguous request head (e.g. conflicting
-                    # Content-Length headers) poisons any pipelined
-                    # bytes behind it too: answer 400 and drop the
-                    # connection rather than guess at a body boundary.
-                    response = html_response(
-                        f"<H1>400 Bad Request</H1><P>{exc}</P>",
-                        status=400)
-                    response.headers.set("Connection", "close")
-                    error_trace = self._mint_trace_id()
-                    if error_trace:
-                        response.headers.set("X-Trace-Id", error_trace)
-                    conn.sendall(response.serialize())
+                    # Unframeable input poisons any pipelined bytes
+                    # behind it: answer 400 and drop the connection.
+                    conn.sendall(codec.bad_request(exc, self.router.tracer))
                     return
-                if raw is None:
+                if request is NEED_DATA:
+                    # Idle between requests, the stricter per-read
+                    # timeout once a request has started to arrive;
+                    # either one closes without an answer.
+                    conn.settimeout(self.idle_timeout if connection.idle
+                                    else self.timeout)
+                    connection.receive(conn.recv(_RECV_CHUNK))
+                    continue
+                if request is CLOSED:
                     return
-                keep_alive = False
-                try:
-                    request = HttpRequest.parse(raw)
-                    keep_alive = _wants_keep_alive(request)
-                    # The trace id is minted where the request enters
-                    # the system; the router threads it everywhere else.
-                    trace_id = new_trace_id() \
-                        if self.router.tracer.enabled else ""
-                    # The deadline starts the moment the request is
-                    # fully read: queue time in the admission queue and
-                    # pool-checkout waits all burn the same budget.
-                    deadline = Deadline.after(self.request_deadline) \
-                        if self.request_deadline else None
-                    response = self.router.handle(request,
-                                                  remote_addr=addr[0],
-                                                  trace_id=trace_id,
-                                                  deadline=deadline)
-                except BadRequestError as exc:
-                    response = html_response(
-                        f"<H1>400 Bad Request</H1><P>{exc}</P>",
-                        status=400)
-                    error_trace = self._mint_trace_id()
-                    if error_trace:
-                        response.headers.set("X-Trace-Id", error_trace)
-                served += 1
+                # The trace id is minted where the request enters the
+                # system; the router threads it everywhere else.  The
+                # deadline starts once the request is fully read: queue
+                # time in the admission queue and pool-checkout waits
+                # all burn the same budget.
+                response = self.router.handle(
+                    request, remote_addr=addr[0],
+                    trace_id=new_trace_id()
+                    if self.router.tracer.enabled else "",
+                    deadline=Deadline.after(self.request_deadline)
+                    if self.request_deadline else None)
+                conn.settimeout(self.timeout)
+                conn.sendall(connection.respond(request, response))
                 if response.streaming:
-                    # Close-delimited body: no Content-Length exists
-                    # until the stream ends, so this response always
-                    # terminates the connection (plain HTTP/1.0
-                    # framing; Keep-Alive needs a length to survive).
-                    self._send_streaming(conn, response)
-                    return
-                if keep_alive and served < self.keep_alive_max:
-                    response.headers.set("Connection", "Keep-Alive")
-                else:
-                    response.headers.set("Connection", "close")
-                    keep_alive = False
-                conn.sendall(response.serialize())
-                if not keep_alive:
+                    _send_stream(conn, response, connection)
+                if not connection.keep_alive:
                     return
         except OSError:
             pass
         finally:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            conn.close()
+            _close(conn)
             self._release()
 
-    def _send_streaming(self, conn: socket.socket,
-                        response: HttpResponse) -> None:
-        """Emit head, any buffered prefix, then the chunk stream.
 
-        The body iterator is closed whatever happens, so abandoned
-        generators (client gone mid-page) still run their ``finally``
-        blocks — the streaming SQL session's transaction bracket
-        depends on that.
-        """
-        body_iter = response.body_iter
-        assert body_iter is not None
-        try:
-            conn.sendall(response.serialize_head())
-            if response.body:
-                conn.sendall(response.body)
-            for chunk in body_iter:
-                if chunk:
-                    conn.sendall(chunk)
-        finally:
-            close = getattr(body_iter, "close", None)
-            if close is not None:
-                close()
+def _send_stream(conn: socket.socket, response: HttpResponse,
+                 connection: codec.ServerConnection) -> None:
+    """Emit any buffered prefix, then the chunk stream.
 
-    def _read_request(self, conn: socket.socket,
-                      buffer: bytes) -> tuple[bytes | None, bytes]:
-        """Read one full request: head to the blank line, then the body
-        according to Content-Length.
-
-        ``buffer`` carries bytes already read beyond the previous
-        request (keep-alive pipelining); returns ``(request_bytes,
-        remaining_buffer)``, with ``None`` when the peer closed, stalled
-        past a timeout, or the limits were exceeded.
-
-        While *no* bytes of the next request have arrived the socket
-        runs under ``idle_timeout``; once the request starts flowing it
-        switches to the stricter per-read ``timeout``.  Either timeout
-        closes the connection cleanly (the request was not yet begun or
-        is abandoned — nothing to answer).
-        """
-        data = buffer
-        separator = b"\r\n\r\n"
-        while separator not in data and b"\n\n" not in data:
-            if len(data) > _MAX_HEAD:
-                raise BadRequestError(
-                    f"request head exceeds {_MAX_HEAD} bytes")
-            conn.settimeout(self.idle_timeout if not data
-                            else self.timeout)
-            try:
-                chunk = conn.recv(_RECV_CHUNK)
-            except TimeoutError:
-                return None, b""
-            if not chunk:
-                return None, b""
-            data += chunk
-        conn.settimeout(self.timeout)
-        if separator not in data:
-            separator = b"\n\n"
-        head, _, rest = data.partition(separator)
-        if len(head) > _MAX_HEAD:
-            # The terminator and the overflow can arrive in one read;
-            # the in-loop check alone would admit such a head.
-            raise BadRequestError(
-                f"request head exceeds {_MAX_HEAD} bytes")
-        # Strict parse: duplicate / comma-joined / malformed
-        # Content-Length raises BadRequestError → 400 upstream.
-        content_length = content_length_of(head)
-        if content_length > _MAX_BODY:
-            return None, b""
-        while len(rest) < content_length:
-            chunk = conn.recv(_RECV_CHUNK)
-            if not chunk:
-                break
-            rest += chunk
-        body, remaining = rest[:content_length], rest[content_length:]
-        return head + separator + body, remaining
-
-
-def _wants_keep_alive(request: HttpRequest) -> bool:
-    tokens = request.headers.get("Connection", "").lower()
-    return "keep-alive" in tokens
-
-
-def _shed_connection(conn: socket.socket,
-                     retry_hint: float | None = None, *,
-                     trace_id: str = "") -> None:
-    """Answer an over-budget connection with an immediate 503."""
-    response = html_response(
-        "<H1>503 Service Unavailable</H1>"
-        "<P>connection budget exhausted; retry shortly</P>", status=503)
-    response.headers.set("Connection", "close")
-    response.headers.set("Retry-After", retry_after_header(retry_hint))
-    if trace_id:
-        response.headers.set("X-Trace-Id", trace_id)
+    The body iterator is closed whatever happens, so abandoned
+    generators (client gone mid-page) still run their ``finally``
+    blocks — the streaming SQL session's transaction bracket depends
+    on that.
+    """
+    body_iter = response.body_iter
     try:
-        conn.settimeout(1.0)
-        conn.sendall(response.serialize())
+        if response.body:
+            conn.sendall(connection.encode(response.body))
+        for chunk in body_iter:
+            if chunk:
+                conn.sendall(connection.encode(chunk))
+        conn.sendall(connection.end)
+    finally:
+        close = getattr(body_iter, "close", None)
+        if close is not None:
+            close()
+
+
+def _close(conn: socket.socket) -> None:
+    try:
+        conn.shutdown(socket.SHUT_RDWR)
     except OSError:
         pass
-    finally:
-        try:
-            conn.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        conn.close()
+    conn.close()

@@ -12,7 +12,8 @@ import pytest
 
 from repro.cgi.request import CgiResponse
 from repro.http.async_server import AsyncHttpServer
-from repro.http.message import HttpRequest, content_length_of
+from repro.http.codec import ResponseReader, ServerConnection
+from repro.http.message import HttpRequest, HttpResponse
 from repro.http.persistent import PersistentHttpClient
 from repro.http.router import Router
 from repro.http.server import HttpServer
@@ -75,32 +76,29 @@ def read_until_closed(sock) -> bytes:
 
 
 def read_n_responses(sock, count, deadline=5.0) -> bytes:
-    """Read until ``count`` complete Content-Length responses arrived."""
+    """Read until ``count`` complete responses arrived."""
     data = b""
+    reader = ResponseReader()
+    got = 0
     end = time.monotonic() + deadline
-    while time.monotonic() < end:
-        if data.count(b"\r\n\r\n") >= count:
-            heads = data.split(b"\r\n\r\n")
-            # crude completeness check: all declared bodies present
-            total = 0
-            complete = True
-            rest = data
-            got = 0
-            while b"\r\n\r\n" in rest and got < count:
-                head, _, rest = rest.partition(b"\r\n\r\n")
-                length = content_length_of(b"x\r\n" + head)
-                if len(rest) < length:
-                    complete = False
-                    break
-                rest = rest[length:]
-                got += 1
-            if complete and got == count:
-                return data
+    while got < count and time.monotonic() < end:
         chunk = sock.recv(65536)
         if not chunk:
-            return data
+            break
         data += chunk
+        reader.receive(chunk)
+        while got < count and isinstance(reader.next_event(),
+                                         HttpResponse):
+            got += 1
     return data
+
+
+def content_length_of(head: bytes) -> int:
+    """The body length the codec frames for a request head (its lines,
+    without the blank line that ends it)."""
+    connection = ServerConnection(keep_alive_max=1)
+    connection.receive(head + b"\r\n" + b"x" * 64)
+    return len(connection.next_event().body)
 
 
 class TestKeepAlivePipelining:
@@ -152,8 +150,7 @@ class TestChunkedStreaming:
     def test_chunked_round_trip_and_connection_survives(self, server,
                                                         metrics):
         """HTTP/1.1 + streaming response = chunked framing, and the
-        connection serves another request afterwards — the behaviour
-        the threaded edge cannot offer (it must close)."""
+        connection serves another request afterwards."""
         with PersistentHttpClient(http11=True) as client:
             url = Url.parse(f"{server.base_url}/cgi-bin/stream")
             first = client.fetch(url, HttpRequest(
@@ -179,8 +176,8 @@ class TestChunkedStreaming:
         assert body.endswith(b"0\r\n\r\n")  # terminal chunk
 
     def test_http10_client_still_gets_close_delimited(self, server):
-        """Protocol downgrade: a 1996 client sees exactly the framing
-        the threaded edge sends — no chunks, close ends the body."""
+        """Protocol downgrade: a 1996 client gets no chunks; the close
+        ends the body."""
         with connect(server) as sock:
             sock.sendall(b"GET /cgi-bin/stream HTTP/1.0\r\n\r\n")
             data = read_until_closed(sock)
@@ -243,8 +240,8 @@ class TestLimitsAndShedding:
 
 
 class TestHardenedContentLengthParser:
-    """The shared strict parser both edges call (satellite: no silent
-    first-wins on smuggling-shaped heads)."""
+    """The codec's strict Content-Length rule, which both edges share
+    (no silent first-wins on smuggling-shaped heads)."""
 
     def test_single_value_parses(self):
         assert content_length_of(

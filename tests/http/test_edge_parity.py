@@ -119,12 +119,11 @@ def read_one_response(stream) -> tuple[int, dict, bytes]:
     return status, headers, body
 
 
-@pytest.mark.parametrize("edge_cls,version,middle_ka", [
-    (HttpServer, "HTTP/1.0", "Connection: keep-alive\r\n"),
-    (AsyncHttpServer, "HTTP/1.1", ""),
-], ids=["threaded", "async"])
+@pytest.mark.parametrize("version", ["HTTP/1.0", "HTTP/1.1"])
+@pytest.mark.parametrize("edge_cls", [HttpServer, AsyncHttpServer],
+                         ids=["threaded", "async"])
 def test_mid_burst_503_does_not_corrupt_pipelined_framing(
-        edge_cls, version, middle_ka):
+        edge_cls, version):
     """503 to request N of a pipelined keep-alive burst must leave
     requests N-1 and N+1 perfectly framed on the same connection."""
     router = build_shedding_router()
@@ -132,7 +131,7 @@ def test_mid_burst_503_does_not_corrupt_pipelined_framing(
     ka = "Connection: keep-alive\r\n" if version == "HTTP/1.0" else ""
     burst = (
         f"GET /a {version}\r\n{ka}\r\n"
-        f"GET {shed_target} {version}\r\n{middle_ka}\r\n"
+        f"GET {shed_target} {version}\r\n{ka}\r\n"
         f"GET /b {version}\r\nConnection: close\r\n\r\n"
     ).encode()
     with edge_cls(router) as server:

@@ -4,6 +4,8 @@ import socket
 
 import pytest
 
+from repro.cgi.gateway import FunctionProgram
+from repro.cgi.request import CgiResponse
 from repro.http.async_server import AsyncHttpServer
 from repro.http.message import HttpRequest
 from repro.http.router import Router
@@ -21,6 +23,8 @@ def make_request(target: str = "/hello") -> HttpRequest:
 def make_router(**kwargs) -> Router:
     router = Router(**kwargs)
     router.add_page("/hello", "<P>hi</P>")
+    router.gateway.install("hello", FunctionProgram(
+        lambda request: CgiResponse(body=b"<P>hi</P>")))
     return router
 
 
@@ -116,10 +120,9 @@ class TestAsyncEdgeExecutorGuard:
         executor hand-off answers 504 and never touches the router."""
         metrics = MetricsRegistry()
         router = make_router(metrics=metrics)
-        with AsyncHttpServer(router, offload="always",
-                             request_deadline=1e-9,
-                             metrics=metrics) as server:
-            status, _ = _fetch(server.host, server.port, "/hello")
+        with AsyncHttpServer(router, request_deadline=1e-9) as server:
+            status, _ = _fetch(server.host, server.port,
+                               "/cgi-bin/hello")
         assert status == 504
         assert metrics.counter(
             "edge_deadline_expired_total").value == 1
@@ -128,9 +131,9 @@ class TestAsyncEdgeExecutorGuard:
 
     def test_generous_deadline_serves_200(self):
         router = make_router()
-        with AsyncHttpServer(router, offload="always",
-                             request_deadline=30.0) as server:
-            status, _ = _fetch(server.host, server.port, "/hello")
+        with AsyncHttpServer(router, request_deadline=30.0) as server:
+            status, _ = _fetch(server.host, server.port,
+                               "/cgi-bin/hello")
         assert status == 200
 
 
